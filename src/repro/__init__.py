@@ -99,7 +99,7 @@ from .solvers import (
 )
 from .stateassign import assign_states
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "EncodeRequest",

@@ -1,40 +1,30 @@
-"""Differential tests for the packed bulk cube kernel.
+"""Tests for the packed bulk cube kernel.
 
-Every bulk primitive runs under both backends (pure-Python int rows vs
-numpy uint64 limb matrices) on hypothesis-generated covers — including
-multi-limb spaces wider than 64 bits — and must return *identical*
-results.  The python backend is additionally pinned against the legacy
-per-cube int implementations in :mod:`repro.cubes.cube`, so the chain
-legacy == python == numpy keeps solver output byte-stable whichever
-kernel is active.
+Every bulk primitive of :class:`~repro.cubes.bulk.pybackend.PythonKernel`
+is pinned against a per-cube reference built from
+:mod:`repro.cubes.cube` on hypothesis-generated covers — including
+multi-limb spaces wider than 64 bits — and the whole algorithms built
+on the kernel (complement, tautology, espresso) are checked against
+minterm semantics, so solver output stays tied to the per-cube
+definitions.
 """
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cubes import Space
 from repro.cubes import cube as legacy
-from repro.cubes.bulk import (
-    available_kernels,
-    get_kernel,
-    use_kernel,
-)
+from repro.cubes.bulk import active_kernel
 from repro.cubes.complement import complement
 from repro.cubes.tautology import cover_contains_cube, tautology
 from repro.espresso import espresso
 from repro.espresso.sparse import make_sparse
-from repro.runtime import InvalidSpecError
-
-HAS_NUMPY = "numpy" in available_kernels()
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy backend unavailable"
-)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -76,27 +66,61 @@ def problems(draw):
     return space, cover, pivot, part, value
 
 
+def _large_cover():
+    """150 cubes over ``Space.binary(10, 5)``: a cover far larger than
+    the hypothesis draws, small enough to enumerate (5120 minterms)."""
+    space = Space.binary(10, 5)
+    rng = random.Random(11)
+    cover = []
+    for _ in range(150):
+        cube = 0
+        for size, offset in zip(space.part_sizes, space.offsets):
+            field = (
+                (1 << size) - 1
+                if rng.random() < 0.4
+                else 1 << rng.randrange(size)
+            )
+            cube |= field << offset
+        cover.append(cube)
+    return space, cover
+
+
+def _minterms(space):
+    """Every minterm of ``space``, or None when there are over 5120."""
+    total = 1
+    for size in space.part_sizes:
+        total *= size
+    if total > 5120:
+        return None
+    return [
+        space.minterm(list(values))
+        for values in itertools.product(
+            *(range(size) for size in space.part_sizes)
+        )
+    ]
+
+
+def _covered(cover, points):
+    return {m for m in points if any(legacy.contains(c, m) for c in cover)}
+
+
 def _primitive_results(kernel, space, cover, pivot, part, value):
-    """One dict per backend holding every primitive's (unpacked) output."""
+    """Every primitive the other legacy tests do not pin, unpacked."""
     packed = kernel.pack(space, cover)
+    pair = kernel.pack(space, [pivot, space.universe])
     out = {
         "roundtrip": kernel.unpack(space, packed),
         "length": kernel.length(packed),
-        "or_fold": kernel.or_fold(space, packed),
+        "empty": kernel.unpack(space, kernel.empty(space)),
+        "single": kernel.unpack(space, kernel.single(space, pivot)),
         "union_info": kernel.union_info(space, packed),
         "popcounts": list(kernel.popcounts(space, packed)),
         "nonfull_counts": list(kernel.nonfull_counts(space, packed)),
         "is_unate": kernel.is_unate(space, packed),
-        "void_mask": list(kernel.void_mask(space, packed)),
-        "contains_rows": list(kernel.contains_rows(space, packed, pivot)),
-        "contained_rows": list(kernel.contained_rows(space, packed, pivot)),
+        "binate_part": kernel.binate_part(space, packed),
         "admits_rows": list(kernel.admits_rows(space, packed, pivot)),
-        "intersects_any": kernel.intersects_any(space, packed, pivot),
         "cofactor_value": kernel.unpack(
             space, kernel.cofactor_value(space, packed, part, value)
-        ),
-        "cofactor_cube": kernel.unpack(
-            space, kernel.cofactor_cube(space, packed, pivot)
         ),
         "and_rows": kernel.unpack(
             space, kernel.and_rows(space, packed, pivot)
@@ -104,19 +128,18 @@ def _primitive_results(kernel, space, cover, pivot, part, value):
         "merge_part": kernel.unpack(
             space, kernel.merge_part(space, packed, part)
         ),
-        "absorb": kernel.unpack(space, kernel.absorb(space, packed)),
         "dedup_keep_mask": list(kernel.dedup_keep_mask(space, packed)),
         "cross_intersect": kernel.unpack(
-            space,
-            kernel.cross_intersect(
-                space, packed, kernel.pack(space, [pivot, space.universe])
-            ),
+            space, kernel.cross_intersect(space, packed, pair)
         ),
-        "minterm_count": kernel.minterm_count(space, packed),
+        "cross_intersect_self": kernel.unpack(
+            space, kernel.cross_intersect(space, packed, packed)
+        ),
         "blocked_raises": kernel.blocked_raises(space, packed, pivot),
         "best_raise": kernel.best_raise(
             space, packed, pivot, space.universe & ~pivot
         ),
+        "best_raise_none": kernel.best_raise(space, packed, pivot, 0),
         "concat": kernel.unpack(
             space,
             kernel.concat(space, packed, kernel.pack(space, [pivot])),
@@ -132,7 +155,6 @@ def _primitive_results(kernel, space, cover, pivot, part, value):
         ),
     }
     if cover:
-        out["binate_part"] = kernel.binate_part(space, packed)
         out["row0"] = kernel.row(space, packed, 0)
         out["delete_row"] = kernel.unpack(
             space, kernel.delete_row(space, packed, 0)
@@ -143,41 +165,125 @@ def _primitive_results(kernel, space, cover, pivot, part, value):
     return out
 
 
-@needs_numpy
-class TestBackendDifferential:
-    """python and numpy backends agree on every primitive, bit for bit."""
+def _reference_results(space, cover, pivot, part, value):
+    """The same keys as :func:`_primitive_results`, one cube at a time."""
+    parts = range(space.num_parts)
+
+    def weight(c):
+        return sum(bin(f).count("1") for f in space.fields(c))
+
+    nonfull = [
+        sum(p in legacy.active_parts(space, c) for c in cover) for p in parts
+    ]
+    literal = space.literal(part, value)
+
+    merged = {}
+    for c in cover:
+        key = space.with_field(c, part, 0)
+        merged[key] = merged.get(key, 0) | space.field(c, part)
+
+    blocked = 0
+    for o in cover:
+        if legacy.distance(space, o, pivot) == 1:
+            (conflict,) = [
+                p for p in parts if not space.field(o, p) & space.field(pivot, p)
+            ]
+            blocked |= o & space.part_masks[conflict]
+
+    def raise_key(bit):
+        grown = pivot | bit
+        return (
+            sum(legacy.contains(grown, o) for o in cover),
+            sum(bool(o & bit) for o in cover),
+        )
+
+    candidates = [
+        1 << i for i in range(space.width) if (space.universe & ~pivot) >> i & 1
+    ]
+
+    def meets(a, b):
+        return [m for x in a for y in b for m in [legacy.intersect(space, x, y)] if m]
+
+    out = {
+        "roundtrip": list(cover),
+        "length": len(cover),
+        "empty": [],
+        "single": [pivot],
+        "union_info": (legacy.supercube(cover), space.universe in cover),
+        "popcounts": [weight(c) for c in cover],
+        "nonfull_counts": nonfull,
+        "is_unate": all(
+            len({space.field(c, p) for c in cover if p in legacy.active_parts(space, c)})
+            <= 1
+            for p in parts
+        ),
+        # the first part among those non-full in the most rows
+        "binate_part": nonfull.index(max(nonfull)),
+        "admits_rows": [
+            any(space.field(c, p) & space.field(pivot, p) for p in parts)
+            for c in cover
+        ],
+        "cofactor_value": [
+            legacy.cofactor(space, c, literal)
+            for c in cover
+            if space.field(c, part) >> value & 1
+        ],
+        "and_rows": [
+            space.make_cube(
+                [f & g for f, g in zip(space.fields(c), space.fields(pivot))]
+            )
+            for c in cover
+        ],
+        "merge_part": [
+            space.with_field(key, part, field) for key, field in merged.items()
+        ],
+        # keep a row iff no other row strictly contains it and it is
+        # the first copy of itself
+        "dedup_keep_mask": [
+            not any(legacy.strictly_contains(d, c) for d in cover)
+            and cover.index(c) == i
+            for i, c in enumerate(cover)
+        ],
+        "cross_intersect": meets(cover, [pivot, space.universe]),
+        "cross_intersect_self": meets(cover, cover),
+        "blocked_raises": blocked,
+        # max() keeps the first of equal keys: the lowest candidate bit
+        "best_raise": max(candidates, key=raise_key, default=0),
+        "best_raise_none": 0,
+        "concat": list(cover) + [pivot],
+        "select": cover[::2],
+        "gather": cover[::-1],
+    }
+    if cover:
+        out["row0"] = cover[0]
+        out["delete_row"] = cover[1:]
+        out["with_row"] = [pivot] + cover[1:]
+    return out
+
+
+class TestLegacyEquivalence:
+    """The kernel replicates the per-cube int implementations."""
 
     @SETTINGS
     @given(problems())
     def test_every_primitive_matches(self, problem):
-        from repro.cubes.bulk.npbackend import NumpyKernel
+        assert _primitive_results(active_kernel(), *problem) == (
+            _reference_results(*problem)
+        )
 
-        space, cover, pivot, part, value = problem
-        kernels = {
-            "python": get_kernel("python"),
-            "numpy": get_kernel("numpy"),
-            # cutoffs at zero force the vectorized paths even on the
-            # small covers hypothesis generates
-            "numpy-forced": NumpyKernel(linear_cutoff=0, quad_cutoff=0),
-        }
-        results = {
-            name: _primitive_results(
-                kernel, space, cover, pivot, part, value
+    def test_large_cover_matches(self):
+        space, cover = _large_cover()
+        for pivot, part in ((cover[0], 0), (cover[1], space.num_parts - 1)):
+            problem = (space, cover, pivot, part, 0)
+            assert _primitive_results(active_kernel(), *problem) == (
+                _reference_results(*problem)
             )
-            for name, kernel in kernels.items()
-        }
-        assert results["python"] == results["numpy"]
-        assert results["python"] == results["numpy-forced"]
-
-
-class TestLegacyEquivalence:
-    """The python backend replicates the per-cube int implementations."""
 
     @SETTINGS
     @given(problems())
     def test_row_masks_match_cube_functions(self, problem):
         space, cover, pivot, _, _ = problem
-        kernel = get_kernel("python")
+        kernel = active_kernel()
         packed = kernel.pack(space, cover)
         assert kernel.void_mask(space, packed) == [
             legacy.is_void(space, c) for c in cover
@@ -197,7 +303,7 @@ class TestLegacyEquivalence:
     @given(problems())
     def test_cofactor_and_absorb_match(self, problem):
         space, cover, pivot, _, _ = problem
-        kernel = get_kernel("python")
+        kernel = active_kernel()
         packed = kernel.pack(space, cover)
         lifted = space.universe & ~pivot
         assert kernel.cofactor_cube(space, packed, pivot) == [
@@ -215,8 +321,8 @@ class TestLegacyEquivalence:
         for size in space.part_sizes:
             total *= size
         if total > 2048:
-            return  # enumeration too large; the differential still ran
-        kernel = get_kernel("python")
+            return  # enumeration too large
+        kernel = active_kernel()
         count = sum(
             1
             for values in itertools.product(
@@ -230,100 +336,58 @@ class TestLegacyEquivalence:
         assert kernel.minterm_count(space, kernel.pack(space, cover)) == count
 
 
-@needs_numpy
 class TestAlgorithmDifferential:
-    """Whole algorithms emit identical cube lists under both backends."""
+    """Whole algorithms on the kernel agree with minterm semantics."""
 
     @SETTINGS
     @given(problems())
     def test_complement_tautology_espresso(self, problem):
         space, cover, pivot, _, _ = problem
         nonvoid = [c for c in cover if not legacy.is_void(space, c)]
-        outputs = {}
-        for name in ("python", "numpy"):
-            with use_kernel(name):
-                outputs[name] = (
-                    complement(space, nonvoid),
-                    tautology(space, nonvoid),
-                    cover_contains_cube(space, nonvoid, pivot),
-                    espresso(space, list(nonvoid)),
-                    make_sparse(space, list(nonvoid)),
-                )
-        assert outputs["python"] == outputs["numpy"]
-
-    def test_large_cover_crosses_vectorized_cutoff(self):
-        """A cover big enough that the adaptive numpy kernel actually
-        takes its vectorized paths end to end."""
-        import random
-
-        space = Space.binary(10, 5)
-        rng = random.Random(11)
-        cover = []
-        for _ in range(150):
-            cube = 0
-            for size, offset in zip(space.part_sizes, space.offsets):
-                field = (
-                    (1 << size) - 1
-                    if rng.random() < 0.4
-                    else 1 << rng.randrange(size)
-                )
-                cube |= field << offset
-            cover.append(cube)
-        outputs = {}
-        for name in ("python", "numpy"):
-            with use_kernel(name):
-                outputs[name] = (
-                    complement(space, cover),
-                    espresso(space, list(cover)),
-                )
-        assert outputs["python"] == outputs["numpy"]
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            get_kernel("fortran")
-
-    def test_use_kernel_restores_previous(self):
-        from repro.cubes.bulk import active_kernel
-
-        before = active_kernel().name
-        with use_kernel("python"):
-            assert active_kernel().name == "python"
-        assert active_kernel().name == before
-
-    @needs_numpy
-    def test_npbackend_refuses_numpy_1x(self, monkeypatch):
-        # numpy < 2.0 lacks np.bitwise_count; the backend must raise
-        # ImportError at import so registration falls back to python
-        # instead of crashing later inside a vectorized primitive
-        import importlib
-
-        import numpy as np
-
-        import repro.cubes.bulk.npbackend as npbackend
-
-        monkeypatch.delattr(np, "bitwise_count")
-        with pytest.raises(ImportError, match="numpy >= 2.0"):
-            importlib.reload(npbackend)
-        # the guard fires before any definitions, so the previously
-        # loaded module (and the registered kernel) stay intact
-        assert npbackend.NumpyKernel is not None
-
-    @pytest.mark.parametrize("name", ["python"] + (["numpy"] if HAS_NUMPY else []))
-    def test_env_var_selects_backend(self, name):
-        env = dict(os.environ, REPRO_KERNEL=name)
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.cubes.bulk import active_kernel;"
-                "print(active_kernel().name)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
+        comp = complement(space, nonvoid)
+        minimized = espresso(space, list(nonvoid))
+        sparse = make_sparse(space, list(nonvoid))
+        # per-cube checks that hold at any width, multi-limb included
+        for result in (nonvoid, minimized, sparse):
+            assert not any(
+                legacy.intersect(space, c, d) for c in comp for d in result
+            )
+        assert tautology(space, nonvoid) == (comp == [])
+        assert cover_contains_cube(space, nonvoid, pivot) == (
+            not any(legacy.intersect(space, pivot, c) for c in comp)
         )
-        assert out.stdout.strip() == name
+        points = _minterms(space)
+        if points is None:
+            return
+        on = _covered(nonvoid, points)
+        assert _covered(comp, points) == set(points) - on
+        assert _covered(minimized, points) == on
+        assert _covered(sparse, points) == on
+        assert tautology(space, nonvoid) == (len(on) == len(points))
+        assert cover_contains_cube(space, nonvoid, pivot) == (
+            _covered([pivot], points) <= on
+        )
+
+    def test_large_cover_whole_algorithm(self):
+        space, cover = _large_cover()
+        points = _minterms(space)
+        on = _covered(cover, points)
+        assert _covered(complement(space, cover), points) == set(points) - on
+        assert _covered(espresso(space, list(cover)), points) == on
+
+
+def test_import_repro_does_not_load_numpy():
+    # numpy's import cost would land in every run's start-up time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
