@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..harness.parallel import Unit, run_units
-from ..harness.shard import StreamWriter, build_meta, resolve_shard
+from ..harness.experiment import Experiment, run_experiment
 from ..obs import resolve_tracer
 from ..runtime import (
     InvalidSpecError,
@@ -238,22 +237,40 @@ def _harden_case(
     outcome.hardened_detail = "; ".join(problems)
 
 
-def _fuzz_unit(
-    family: str, case_seed: int, config: FuzzConfig
-) -> CaseOutcome:
+def _case_keys(params: Dict[str, Any]) -> List[str]:
+    """``family:case_seed`` for every case, round-robin over families."""
+    families = params["generators"]
+    return [
+        f"{families[i % len(families)]}:"
+        f"{params['seed'] + _SEED_STRIDE * (i // len(families))}"
+        for i in range(params["max_examples"])
+    ]
+
+
+def _unclassified(
+    key: str, solver: str, classification: str, detail: str,
+    seconds: float = 0.0,
+) -> Dict[str, Any]:
+    """The payload of a case the oracle never got to classify."""
+    family, case_seed = key.rsplit(":", 1)
+    return CaseOutcome(
+        key=key, family=family, seed=int(case_seed), solver=solver,
+        classification=classification, detail=detail, seconds=seconds,
+    ).to_dict()
+
+
+def _fuzz_unit(key: str, **params: Any) -> Dict[str, Any]:
     """Generate + classify one case (runs inside pool workers)."""
+    config = FuzzConfig(**params)
+    family, case_seed = key.rsplit(":", 1)
     try:
-        case = generate_case(family, case_seed, config.scale)
+        case = generate_case(family, int(case_seed), config.scale)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # repro: noqa[RPA003] -- a generator crash is a campaign finding, not a harness abort
-        return CaseOutcome(
-            key=f"{family}:{case_seed}",
-            family=family,
-            seed=case_seed,
-            solver=config.solver,
-            classification=CRASH,
-            detail=f"generator: {type(exc).__name__}: {exc}",
+        return _unclassified(
+            key, config.solver, CRASH,
+            f"generator: {type(exc).__name__}: {exc}",
         )
     outcome = run_case(
         case, config.solver,
@@ -265,7 +282,28 @@ def _fuzz_unit(
         _harden_case(case, config, outcome)
     if outcome.is_finding:
         outcome.case_data = case.to_dict()
-    return outcome
+    return outcome.to_dict()
+
+
+def _finding_line(key: str, payload: Dict[str, Any]) -> Optional[str]:
+    outcome = CaseOutcome.from_dict(payload)
+    return "  " + outcome.line() if outcome.is_finding else None
+
+
+EXPERIMENT = Experiment(
+    name="fuzz", cell=_fuzz_unit, keys=_case_keys, line=_finding_line,
+    report=lambda params: FuzzReport(config=FuzzConfig(**params)),
+    fold=lambda report, key, payload: report.outcomes.append(
+        CaseOutcome.from_dict(payload)
+    ),
+    # the oracle never raises, so a failed unit means the harness
+    # itself broke in the worker — a finding
+    failed=lambda key, result, params: _unclassified(
+        key, params["solver"],
+        TIMEOUT if result.status in ("timeout", "budget") else CRASH,
+        f"harness: {result.error}", result.seconds,
+    ),
+)
 
 
 # ----------------------------------------------------------------------
@@ -318,62 +356,16 @@ def run_fuzz(
     """
     config.check()
     tracer = resolve_tracer(tracer)
-    spec = resolve_shard(config.shard)
-    families = config.resolved_generators()
-    units = []
-    for i in range(config.max_examples):
-        family = families[i % len(families)]
-        case_seed = config.seed + _SEED_STRIDE * (i // len(families))
-        units.append(
-            Unit(
-                key=f"{family}:{case_seed}",
-                fn=_fuzz_unit,
-                args=(family, case_seed, config),
-            )
-        )
-    writer: Optional[StreamWriter] = None
-    if spec is not None or config.stream is not None:
-        meta = build_meta(
-            "fuzz", [u.key for u in units], config.params(), spec
-        )
-        if config.stream is not None:
-            writer = StreamWriter(config.stream, meta)
-    if spec is not None:
-        units = [u for i, u in enumerate(units) if spec.owns(i)]
-    report = FuzzReport(config=config)
     with tracer.span(
         "fuzz/campaign", solver=config.solver, seed=config.seed,
         examples=config.max_examples,
     ):
-        try:
-            for unit, result in zip(
-                units, run_units(units, jobs=config.jobs, tracer=tracer)
-            ):
-                if result.ok:
-                    outcome = result.value
-                else:
-                    # the oracle never raises, so a failed unit means
-                    # the harness itself broke in the worker — a finding
-                    outcome = CaseOutcome(
-                        key=unit.key,
-                        family=unit.args[0],
-                        seed=unit.args[1],
-                        solver=config.solver,
-                        classification=(
-                            TIMEOUT
-                            if result.status in ("timeout", "budget")
-                            else CRASH
-                        ),
-                        detail=f"harness: {result.error}",
-                        seconds=result.seconds,
-                    )
-                report.outcomes.append(outcome)
-                if writer is not None:
-                    writer.emit_cell(unit.key, outcome.to_dict())
-                if verbose and outcome.is_finding:
-                    print("  " + outcome.line())
-        finally:
-            if writer is not None:
-                writer.close()
+        report = run_experiment(
+            EXPERIMENT, config.params(), verbose=verbose,
+            jobs=config.jobs, shard=config.shard, stream=config.stream,
+            tracer=tracer,
+        )
+        # the host-local knobs (corpus, jobs) live on the caller's config
+        report.config = config
         _distill(report, tracer, verbose)
     return report

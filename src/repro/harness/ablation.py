@@ -27,11 +27,12 @@ from ..core import PicolaOptions
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import payload_failed, resumable
+from ..runtime.checkpoint import payload_failed
+from ..runtime.isolation import classify_failure
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, failure_reason, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 from .table1 import QUICK_FSMS
 
 __all__ = ["ABLATION_VARIANTS", "AblationReport", "run_ablation"]
@@ -162,19 +163,10 @@ def _ablation_cells(
             budget = Budget(seconds=timeout)
         try:
             result = solver.solve(cset, options=options, budget=budget)
-        except SolverTimeout:
-            cells["cubes"][variant] = None
-            cells["satisfied"][variant] = None
-            cells["seconds"][variant] = None
-            cells["nodes"][variant] = None
-            cells["status"][variant] = "timeout"
-            continue
-        except BudgetExceeded:
-            cells["cubes"][variant] = None
-            cells["satisfied"][variant] = None
-            cells["seconds"][variant] = None
-            cells["nodes"][variant] = None
-            cells["status"][variant] = "budget"
+        except (SolverTimeout, BudgetExceeded) as exc:
+            for grid in ("cubes", "satisfied", "seconds", "nodes"):
+                cells[grid][variant] = None
+            cells["status"][variant] = classify_failure(exc)[0]
             continue
         evaluation = evaluate_encoding(result.encoding, cset)
         cells["cubes"][variant] = evaluation.total_cubes
@@ -182,6 +174,27 @@ def _ablation_cells(
         cells["seconds"][variant] = result.seconds
         cells["nodes"][variant] = result.nodes
     return cells
+
+
+def _fold_cells(
+    report: AblationReport, name: str, payload: Dict[str, Any]
+) -> None:
+    if payload_failed(payload):
+        report.failures[name] = failure_reason(payload)
+        return
+    report.cubes[name] = dict(payload.get("cubes", {}))
+    report.satisfied[name] = dict(payload.get("satisfied", {}))
+    report.seconds[name] = dict(payload.get("seconds", {}))
+    report.nodes[name] = dict(payload.get("nodes", {}))
+    if payload.get("status"):
+        report.cell_status[name] = dict(payload["status"])
+
+
+EXPERIMENT = Experiment(
+    name="ablation", cell=_ablation_cells, fold=_fold_cells,
+    report=lambda params: AblationReport(variants=params["variants"]),
+    line=lambda name, cells: f"{name}: {cells['cubes']}",
+)
 
 
 def run_ablation(
@@ -205,105 +218,12 @@ def run_ablation(
     variants = list(variants)
     if include_exact and EXACT_VARIANT not in variants:
         variants.append(EXACT_VARIANT)
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "ablation", all_names,
-            {
-                "variants": variants, "timeout": timeout,
-                "exact_nodes": exact_nodes,
-            },
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="ablation",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        EXPERIMENT,
+        {
+            "units": list(fsms), "variants": variants,
+            "timeout": timeout, "exact_nodes": exact_nodes,
+        },
+        verbose=verbose, checkpoint=checkpoint, jobs=jobs,
+        retry_failed=retry_failed, shard=shard, stream=stream,
     )
-    report = AblationReport(variants=variants)
-    resumed: Dict[str, Dict[str, Any]] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_ablation_cells, args=(name, variants),
-                kwargs=dict(timeout=timeout, exact_nodes=exact_nodes),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                payload = resumed[name]
-                if writer is not None:
-                    writer.emit_cell(name, payload, resumed=True)
-                if payload_failed(payload):
-                    reason = payload.get("reason") or payload["status"]
-                    report.failures[name] = reason
-                    if verbose:
-                        print(
-                            f"{name}: FAILED ({reason}, resumed from "
-                            "checkpoint)",
-                            flush=True,
-                        )
-                    continue
-                report.cubes[name] = dict(payload.get("cubes", {}))
-                report.satisfied[name] = dict(
-                    payload.get("satisfied", {})
-                )
-                report.seconds[name] = dict(payload.get("seconds", {}))
-                report.nodes[name] = dict(payload.get("nodes", {}))
-                status = dict(payload.get("status", {}))
-                if status:
-                    report.cell_status[name] = status
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if not outcome.ok:
-                failure = {
-                    "status": outcome.status,
-                    "reason": outcome.reason,
-                    "error": outcome.error,
-                }
-                report.failures[name] = outcome.reason
-                if ckpt is not None:
-                    ckpt.mark_done(name, failure)
-                if writer is not None:
-                    writer.emit_cell(name, failure)
-                if verbose:
-                    print(
-                        f"{name}: FAILED ({outcome.reason})", flush=True
-                    )
-                continue
-            cells = outcome.value
-            report.cubes[name] = cells["cubes"]
-            report.satisfied[name] = cells["satisfied"]
-            report.seconds[name] = cells["seconds"]
-            report.nodes[name] = cells["nodes"]
-            if cells["status"]:
-                report.cell_status[name] = cells["status"]
-            if ckpt is not None:
-                ckpt.mark_done(name, cells)
-            if writer is not None:
-                writer.emit_cell(name, cells)
-            if verbose:
-                print(f"{name}: {report.cubes[name]}", flush=True)
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

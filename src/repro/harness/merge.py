@@ -10,10 +10,11 @@ have produced:
   merging refuses mismatched tags, disagreeing unit universes or
   params, duplicate or missing shards, cells outside a shard's
   partition, and incomplete shards — each with a one-line diagnostic;
-* the combined cells replay through the drivers' own resume loops
-  (via an in-memory :class:`~repro.runtime.Checkpoint`), so failed
-  cells keep their ``payload_failed`` semantics and the rendered
-  table is **byte-identical** to the unsharded run;
+* the combined cells replay through the one experiment loop,
+  :func:`~repro.harness.experiment.run_experiment`, that produced
+  them (via an in-memory :class:`~repro.runtime.Checkpoint`), so
+  failed cells keep their ``payload_failed`` semantics and the
+  rendered table is **byte-identical** to the unsharded run;
 * stream files (``--from-stream``, or auto-detected) carry the same
   meta in their header line and merge the same way — a report can be
   rebuilt purely from the JSONL progress feed.
@@ -21,12 +22,14 @@ have produced:
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..runtime import Checkpoint, CheckpointError
+from .experiment import run_experiment
 from .shard import SCHEMA_VERSION, ShardSpec, read_stream
 
 __all__ = ["merge_files", "report_failures"]
@@ -160,59 +163,31 @@ def _validate(files: List[_ShardFile]) -> None:
             )
 
 
+#: where each experiment tag's :class:`~.experiment.Experiment` lives
+#: (imported on demand: ``import repro`` must not load ``repro.fuzz``)
+_SPECS = {
+    "table1": "repro.harness.table1",
+    "table2": "repro.harness.table2",
+    "ablation": "repro.harness.ablation",
+    "sweep": "repro.harness.sweep",
+    "fuzz": "repro.fuzz.runner",
+}
+
+
 def _rebuild(
     experiment: str,
     meta: Dict[str, Any],
     completed: Dict[str, Any],
 ) -> Any:
-    """Replay the combined cells through the driver resume loops."""
-    units: List[str] = list(meta.get("units") or [])
-    params: Dict[str, Any] = dict(meta.get("params") or {})
-    ckpt = Checkpoint.in_memory(experiment, completed)
-    if experiment == "table1":
-        from .table1 import run_table1
-
-        return run_table1(units, checkpoint=ckpt)
-    if experiment == "table2":
-        from .table2 import run_table2
-
-        return run_table2(units, checkpoint=ckpt)
-    if experiment == "ablation":
-        from .ablation import run_ablation
-
-        return run_ablation(
-            units, variants=params.get("variants"), checkpoint=ckpt
+    """Replay the combined cells through the one experiment loop."""
+    if experiment not in _SPECS:
+        raise CheckpointError(
+            f"cannot rebuild a report for experiment {experiment!r}"
         )
-    if experiment == "sweep":
-        from .sweep import run_seed_sweep
-
-        return run_seed_sweep(
-            params["fsms"], seeds=tuple(params["seeds"]),
-            nova_seed=params.get("nova_seed", 1),
-            checkpoint=ckpt,
-        )
-    if experiment == "fuzz":
-        from ..fuzz.oracle import CaseOutcome
-        from ..fuzz.runner import FuzzConfig, FuzzReport
-
-        config = FuzzConfig(
-            solver=params["solver"],
-            generators=tuple(params.get("generators") or ()),
-            max_examples=params["max_examples"],
-            seed=params["seed"],
-            scale=params["scale"],
-            timeout=params.get("timeout"),
-            harden=params.get("harden", True),
-            cosim_steps=params.get("cosim_steps", 128),
-        )
-        report = FuzzReport(config=config)
-        for key in units:
-            report.outcomes.append(
-                CaseOutcome.from_dict(completed[key])
-            )
-        return report
-    raise CheckpointError(
-        f"cannot rebuild a report for experiment {experiment!r}"
+    spec = importlib.import_module(_SPECS[experiment]).EXPERIMENT
+    return run_experiment(
+        spec, dict(meta.get("params") or {}, units=meta.get("units") or []),
+        checkpoint=Checkpoint.in_memory(experiment, completed),
     )
 
 

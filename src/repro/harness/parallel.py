@@ -13,9 +13,10 @@ Design contract (mirrors the serial path exactly):
   *inside the worker*, with its own Budget/Deadline, so crashes,
   timeouts and budget blows come back as classified FAILED / TIMEOUT
   / BUDGET outcomes instead of poisoning the pool;
-* checkpoint writes stay in the parent: the drivers consume the
-  generator returned by :func:`run_units` in submission order and call
-  ``Checkpoint.mark_done`` after each merged unit, so a killed
+* checkpoint writes stay in the parent:
+  :func:`~repro.harness.experiment.run_experiment` consumes the
+  generator returned by :func:`run_units` in submission order and
+  calls ``Checkpoint.mark_done`` after each merged unit, so a killed
   parallel run resumes like a killed serial one;
 * armed faults (:mod:`repro.runtime.faults`) are snapshotted and
   re-armed in each worker, so fault-injection tests exercise the
@@ -166,7 +167,6 @@ def _start_pool(workers: int) -> Optional[ProcessPoolExecutor]:
 
 
 def _run_serial(units: Iterable[Unit]) -> Iterator[Outcome]:
-    """The ``--jobs 1`` path: identical to the historical drivers."""
     for unit in units:
         yield run_isolated(
             unit.fn, *unit.args, label=unit.key, **unit.kwargs
@@ -203,11 +203,10 @@ def run_units(
     submission order (completion order never leaks out).
 
     ``jobs <= 1`` — or a pool that fails to start — runs everything
-    serially in-process, byte-for-byte identical to the historical
-    drivers.  The caller merges each yielded outcome (and writes its
-    checkpoint entry) before pulling the next one, so parent-side
-    state advances deterministically even while workers complete out
-    of order.
+    serially in-process.  The caller merges each yielded outcome (and
+    writes its checkpoint entry) before pulling the next one, so
+    parent-side state advances deterministically even while workers
+    complete out of order.
     """
     units = list(units)
     tracer = resolve_tracer(tracer)

@@ -24,11 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import BENCHMARKS, load_benchmark
 from ..runtime import Budget, Checkpoint, faults
-from ..runtime.checkpoint import payload_failed, resumable
+from ..runtime.checkpoint import payload_failed
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, failure_reason, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 from .table1 import QUICK_FSMS
 
 __all__ = ["SeedSweepReport", "run_seed_sweep"]
@@ -136,13 +136,12 @@ class SeedSweepReport:
 
 
 def _sweep_cell(
-    name: str,
-    seed: int,
-    nova_seed: int,
-    timeout: Optional[float],
+    key: str, *, nova_seed: int, timeout: Optional[float], **grid: Any
 ) -> Dict[str, int]:
-    """One (seed, fsm) comparison (runs inside the fault boundary)."""
-    faults.trip("sweep.benchmark", key=f"{seed}/{name}")
+    """One ``seed/fsm`` comparison (runs inside the fault boundary);
+    ``grid`` is the sweep's ``fsms``/``seeds``, which the cell ignores."""
+    faults.trip("sweep.benchmark", key=key)
+    seed, name = _split(key)
     fsm = load_benchmark(name, seed=seed)
     cset = derive_face_constraints(fsm)
     pic = get_solver("picola").solve(
@@ -156,6 +155,56 @@ def _sweep_cell(
         "picola": evaluate_encoding(pic.encoding, cset).total_cubes,
         "nova": evaluate_encoding(nov.encoding, cset).total_cubes,
     }
+
+
+def _split(key: str) -> Tuple[int, str]:
+    seed, name = key.split("/", 1)
+    return int(seed), name
+
+
+def _fold_cell(
+    report: SeedSweepReport, key: str, payload: Dict[str, Any]
+) -> None:
+    if payload_failed(payload):
+        report.failures[_split(key)] = failure_reason(payload)
+
+
+def _finish_seed(
+    report: SeedSweepReport, cells: Dict[str, Dict[str, Any]]
+) -> str:
+    """Fold one seed's cells into its :class:`SeedOutcome` row."""
+    seed = _split(next(iter(cells)))[0]
+    done = [c for c in cells.values() if not payload_failed(c)]
+    if not done:
+        # every attempted cell failed: an all-zero SeedOutcome would
+        # smuggle a fake 0.0 nova_overhead into
+        # mean_overhead()/overhead_stddev()
+        report.skipped_seeds.append(seed)
+        return f"seed {seed}: skipped (no completed cells)"
+    outcome = SeedOutcome(
+        seed=seed,
+        total_picola=sum(c["picola"] for c in done),
+        total_nova=sum(c["nova"] for c in done),
+        picola_wins=sum(c["picola"] < c["nova"] for c in done),
+        nova_wins=sum(c["nova"] < c["picola"] for c in done),
+        ties=sum(c["picola"] == c["nova"] for c in done),
+    )
+    report.outcomes.append(outcome)
+    return (
+        f"seed {seed}: picola={outcome.total_picola} "
+        f"nova={outcome.total_nova}"
+    )
+
+
+EXPERIMENT = Experiment(
+    name="sweep", cell=_sweep_cell, fold=_fold_cell,
+    report=lambda params: SeedSweepReport(fsms=list(params["fsms"])),
+    keys=lambda params: [
+        f"{seed}/{name}"
+        for seed in params["seeds"] for name in params["fsms"]
+    ],
+    group=lambda key: _split(key)[0], finish=_finish_seed,
+)
 
 
 def run_seed_sweep(
@@ -192,142 +241,12 @@ def run_seed_sweep(
     """
     if fsms is None:
         fsms = [f for f in QUICK_FSMS if BENCHMARKS[f].source != "file"]
-    spec = resolve_shard(shard)
-    all_keys = [
-        f"{seed}/{name}" for seed in seeds for name in fsms
-    ]
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "sweep", all_keys,
-            {
-                "fsms": list(fsms), "seeds": list(seeds),
-                "nova_seed": nova_seed, "timeout": timeout,
-            },
-            spec,
-        )
-    selected = (
-        set(spec.partition(all_keys)) if spec is not None
-        else set(all_keys)
+    return run_experiment(
+        EXPERIMENT,
+        {
+            "fsms": list(fsms), "seeds": list(seeds),
+            "nova_seed": nova_seed, "timeout": timeout,
+        },
+        verbose=verbose, checkpoint=checkpoint, jobs=jobs,
+        retry_failed=retry_failed, shard=shard, stream=stream,
     )
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="sweep",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
-    )
-    report = SeedSweepReport(fsms=list(fsms))
-    resumed: Dict[str, Dict] = {}
-    units: List[Unit] = []
-    for seed in seeds:
-        for name in fsms:
-            key = f"{seed}/{name}"
-            if key not in selected:
-                continue
-            payload = resumable(ckpt, key, retry_failed)
-            if payload is not None:
-                resumed[key] = payload
-            else:
-                units.append(Unit(
-                    key=key, fn=_sweep_cell,
-                    args=(name, seed, nova_seed, timeout),
-                ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for seed in seeds:
-            total_p = total_n = wins_p = wins_n = ties = 0
-            attempted = completed = 0
-            for name in fsms:
-                key = f"{seed}/{name}"
-                if key not in selected:
-                    continue
-                attempted += 1
-                if key in resumed:
-                    cell = resumed[key]
-                    if writer is not None:
-                        writer.emit_cell(key, cell, resumed=True)
-                    if payload_failed(cell):
-                        reason = cell.get("reason") or cell["status"]
-                        report.failures[(seed, name)] = reason
-                        if verbose:
-                            print(
-                                f"{key}: FAILED ({reason}, resumed "
-                                "from checkpoint)",
-                                flush=True,
-                            )
-                        continue
-                    if verbose:
-                        print(
-                            f"{key}: resumed from checkpoint",
-                            flush=True,
-                        )
-                else:
-                    outcome = next(outcomes)
-                    if not outcome.ok:
-                        failure = {
-                            "status": outcome.status,
-                            "reason": outcome.reason,
-                            "error": outcome.error,
-                        }
-                        report.failures[(seed, name)] = outcome.reason
-                        if ckpt is not None:
-                            ckpt.mark_done(key, failure)
-                        if writer is not None:
-                            writer.emit_cell(key, failure)
-                        if verbose:
-                            print(
-                                f"{key}: FAILED ({outcome.reason})",
-                                flush=True,
-                            )
-                        continue
-                    cell = outcome.value
-                    if ckpt is not None:
-                        ckpt.mark_done(key, cell)
-                    if writer is not None:
-                        writer.emit_cell(key, cell)
-                cubes_p = cell["picola"]
-                cubes_n = cell["nova"]
-                total_p += cubes_p
-                total_n += cubes_n
-                wins_p += cubes_p < cubes_n
-                wins_n += cubes_n < cubes_p
-                ties += cubes_p == cubes_n
-                completed += 1
-            if attempted == 0:
-                # every cell of this seed belongs to another shard
-                continue
-            if completed == 0:
-                # every attempted cell failed: an all-zero SeedOutcome
-                # would smuggle a fake 0.0 nova_overhead into
-                # mean_overhead()/overhead_stddev()
-                report.skipped_seeds.append(seed)
-                if verbose:
-                    print(
-                        f"seed {seed}: skipped (no completed cells)",
-                        flush=True,
-                    )
-                continue
-            outcome_row = SeedOutcome(
-                seed=seed,
-                total_picola=total_p,
-                total_nova=total_n,
-                picola_wins=wins_p,
-                nova_wins=wins_n,
-                ties=ties,
-            )
-            report.outcomes.append(outcome_row)
-            if verbose:
-                print(
-                    f"seed {seed}: picola={total_p} nova={total_n}",
-                    flush=True,
-                )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

@@ -31,11 +31,11 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..encoding import derive_face_constraints, evaluate_encoding
 from ..fsm import BENCHMARKS, TABLE1_FSMS, load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import resumable
+from ..runtime.isolation import classify_failure
 from ..solvers import get_solver
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 
 __all__ = ["Table1Row", "Table1Report", "run_table1", "QUICK_FSMS"]
 
@@ -282,8 +282,8 @@ def _table1_row(
     enc_budget: int,
     seed: int,
     timeout: Optional[float],
-) -> Table1Row:
-    """Compute one Table I row (runs inside the fault boundary)."""
+) -> Dict[str, Any]:
+    """Compute one Table I row payload (runs inside the fault boundary)."""
     faults.trip("table1.row", key=name)
     fsm = load_benchmark(name)
     cset = derive_face_constraints(fsm)
@@ -316,10 +316,8 @@ def _table1_row(
                 },
                 budget=Budget(seconds=timeout),
             )
-        except SolverTimeout:
-            enc_status = "timeout"
-        except BudgetExceeded:
-            enc_status = "budget"
+        except (SolverTimeout, BudgetExceeded) as exc:
+            enc_status = classify_failure(exc)[0]
         else:
             nodes_enc = enc.nodes
             if enc.stats["converged"]:
@@ -345,7 +343,22 @@ def _table1_row(
         paper_nova=spec.paper_cubes_nova if spec else None,
         paper_picola=spec.paper_cubes_picola if spec else None,
         enc_status=enc_status,
-    )
+    ).to_dict()
+
+
+EXPERIMENT = Experiment(
+    name="table1", cell=_table1_row, report=lambda params: Table1Report(),
+    fold=lambda report, name, payload: report.rows.append(
+        Table1Row.from_dict(payload)
+    ),
+    line=lambda name, row: (
+        f"{name}: const={row['constraints']} nova={row['cubes']['nova']} "
+        f"enc={row['cubes']['enc']} picola={row['cubes']['picola']}"
+    ),
+    failed=lambda name, outcome, params: Table1Row(
+        fsm=name, status=outcome.status, error=outcome.error
+    ).to_dict(),
+)
 
 
 def run_table1(
@@ -381,86 +394,13 @@ def run_table1(
     report.  ``stream`` appends one JSON line per completed row to a
     results file as it finishes.
     """
-    if fsms is None:
-        fsms = TABLE1_FSMS
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "table1", all_names,
-            {
-                "include_enc": include_enc, "enc_budget": enc_budget,
-                "seed": seed, "timeout": timeout,
-            },
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="table1",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        EXPERIMENT,
+        {
+            "units": TABLE1_FSMS if fsms is None else list(fsms),
+            "include_enc": include_enc, "enc_budget": enc_budget,
+            "seed": seed, "timeout": timeout,
+        },
+        verbose=verbose, checkpoint=checkpoint, jobs=jobs,
+        retry_failed=retry_failed, shard=shard, stream=stream,
     )
-    report = Table1Report()
-    resumed: Dict[str, Any] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_table1_row, args=(name,),
-                kwargs=dict(
-                    include_enc=include_enc, enc_budget=enc_budget,
-                    seed=seed, timeout=timeout,
-                ),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                row = Table1Row.from_dict(resumed[name])
-                report.rows.append(row)
-                if writer is not None:
-                    writer.emit_cell(name, row.to_dict(), resumed=True)
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if outcome.ok:
-                row = outcome.value
-            else:
-                row = Table1Row(
-                    fsm=name, status=outcome.status, error=outcome.error
-                )
-            report.rows.append(row)
-            if ckpt is not None:
-                ckpt.mark_done(name, row.to_dict())
-            if writer is not None:
-                writer.emit_cell(name, row.to_dict())
-            if verbose:
-                if row.ok:
-                    print(
-                        f"{name}: const={row.n_constraints} "
-                        f"nova={row.cubes_nova} enc={row.cubes_enc} "
-                        f"picola={row.cubes_picola}", flush=True,
-                    )
-                else:
-                    print(
-                        f"{name}: FAILED ({row.failure_reason})",
-                        flush=True,
-                    )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

@@ -22,11 +22,11 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..encoding import derive_face_constraints
 from ..fsm import TABLE2_FSMS, load_benchmark
 from ..runtime import Budget, BudgetExceeded, Checkpoint, SolverTimeout, faults
-from ..runtime.checkpoint import resumable
+from ..runtime.isolation import classify_failure
 from ..stateassign import assign_states
-from .parallel import Unit, run_units
+from .experiment import Experiment, run_experiment
 from .report import render_table
-from .shard import ShardSpec, StreamWriter, build_meta, resolve_shard
+from .shard import ShardSpec
 
 __all__ = ["Table2Row", "Table2Report", "run_table2", "QUICK_FSMS2"]
 
@@ -187,8 +187,8 @@ class Table2Report:
 
 def _table2_row(
     name: str, *, seed: int, timeout: Optional[float]
-) -> Table2Row:
-    """Compute one Table II row (runs inside the fault boundary)."""
+) -> Dict[str, Any]:
+    """Compute one Table II row payload (runs inside the fault boundary)."""
     faults.trip("table2.row", key=name)
     fsm = load_benchmark(name)
     # all methods see the identical input-encoding problem
@@ -200,21 +200,30 @@ def _table2_row(
                 fsm, method, seed=seed, constraints=cset,
                 budget=Budget(seconds=timeout),
             )
-        except SolverTimeout:
+        except (SolverTimeout, BudgetExceeded) as exc:
             row.sizes[method] = None
             row.seconds[method] = None
             row.nodes[method] = None
-            row.method_status[method] = "timeout"
-        except BudgetExceeded:
-            row.sizes[method] = None
-            row.seconds[method] = None
-            row.nodes[method] = None
-            row.method_status[method] = "budget"
+            row.method_status[method] = classify_failure(exc)[0]
         else:
             row.sizes[method] = result.size
             row.seconds[method] = result.encode_seconds
             row.nodes[method] = result.extra.get("encode_nodes")
-    return row
+    return row.to_dict()
+
+
+EXPERIMENT = Experiment(
+    name="table2", cell=_table2_row, report=lambda params: Table2Report(),
+    fold=lambda report, name, payload: report.rows.append(
+        Table2Row.from_dict(payload)
+    ),
+    line=lambda name, row: f"{name}: " + " ".join(
+        f"{m}={row['sizes'].get(m)}" for m in TABLE2_METHODS
+    ),
+    failed=lambda name, outcome, params: Table2Row(
+        fsm=name, status=outcome.status, error=outcome.error
+    ).to_dict(),
+)
 
 
 def run_table2(
@@ -240,82 +249,12 @@ def run_table2(
     checkpoint with a shard meta block for ``picola merge``;
     ``stream`` appends one JSON line per completed row.
     """
-    if fsms is None:
-        fsms = TABLE2_FSMS
-    spec = resolve_shard(shard)
-    all_names = list(fsms)
-    meta: Optional[Dict[str, Any]] = None
-    if spec is not None or stream is not None:
-        meta = build_meta(
-            "table2", all_names,
-            {"seed": seed, "timeout": timeout},
-            spec,
-        )
-    names = spec.partition(all_names) if spec is not None else all_names
-    ckpt: Optional[Checkpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint if isinstance(checkpoint, Checkpoint)
-            else Checkpoint(
-                checkpoint, experiment="table2",
-                meta=meta if spec is not None else None,
-            )
-        )
-    writer = (
-        StreamWriter(stream, meta) if stream is not None else None
+    return run_experiment(
+        EXPERIMENT,
+        {
+            "units": TABLE2_FSMS if fsms is None else list(fsms),
+            "seed": seed, "timeout": timeout,
+        },
+        verbose=verbose, checkpoint=checkpoint, jobs=jobs,
+        retry_failed=retry_failed, shard=shard, stream=stream,
     )
-    report = Table2Report()
-    resumed: Dict[str, Any] = {}
-    units: List[Unit] = []
-    for name in names:
-        payload = resumable(ckpt, name, retry_failed)
-        if payload is not None:
-            resumed[name] = payload
-        else:
-            units.append(Unit(
-                key=name, fn=_table2_row, args=(name,),
-                kwargs=dict(seed=seed, timeout=timeout),
-            ))
-    outcomes = run_units(units, jobs=jobs)
-    try:
-        for name in names:
-            if name in resumed:
-                row = Table2Row.from_dict(resumed[name])
-                report.rows.append(row)
-                if writer is not None:
-                    writer.emit_cell(name, row.to_dict(), resumed=True)
-                if verbose:
-                    print(
-                        f"{name}: resumed from checkpoint", flush=True
-                    )
-                continue
-            outcome = next(outcomes)
-            if outcome.ok:
-                row = outcome.value
-            else:
-                row = Table2Row(
-                    fsm=name, status=outcome.status, error=outcome.error
-                )
-            report.rows.append(row)
-            if ckpt is not None:
-                ckpt.mark_done(name, row.to_dict())
-            if writer is not None:
-                writer.emit_cell(name, row.to_dict())
-            if verbose:
-                if row.ok:
-                    print(
-                        f"{name}: " + " ".join(
-                            f"{m}={row.sizes.get(m)}"
-                            for m in TABLE2_METHODS
-                        ),
-                        flush=True,
-                    )
-                else:
-                    print(
-                        f"{name}: FAILED ({row.failure_reason})",
-                        flush=True,
-                    )
-    finally:
-        if writer is not None:
-            writer.close()
-    return report

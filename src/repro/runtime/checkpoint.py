@@ -66,8 +66,8 @@ class Checkpoint:
         meta: Optional[Dict[str, Any]] = None,
     ) -> "Checkpoint":
         """A read-only checkpoint that never touches disk — the merge
-        path uses it to replay combined shard results through the
-        drivers' resume loops."""
+        path uses it to replay combined shard results through the one
+        experiment loop every driver runs on."""
         ckpt = cls.__new__(cls)
         ckpt.path = None
         ckpt.experiment = experiment

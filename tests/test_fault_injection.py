@@ -317,6 +317,29 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             run_table2(["dk16"], checkpoint=ckpt_path)
 
+    @pytest.mark.parametrize("site,key,run", [
+        ("table1.row", "lion9",
+         lambda **kw: run_table1(["lion9"], include_enc=False, **kw)),
+        ("table2.row", "dk16", lambda **kw: run_table2(["dk16"], **kw)),
+        ("ablation.fsm", "lion9",
+         lambda **kw: run_ablation(["lion9"], ["full"], **kw)),
+        ("sweep.benchmark", "0/lion9",
+         lambda **kw: run_seed_sweep(["lion9"], seeds=(0,), **kw)),
+    ], ids=["table1", "table2", "ablation", "sweep"])
+    def test_resumed_failure_progress_line(
+        self, tmp_path, capsys, site, key, run
+    ):
+        """Every driver reports a checkpointed failure the same way
+        when a resumed run replays it."""
+        ckpt_path = tmp_path / "run.ckpt"
+        with faults.inject(site, SolverTimeout, key=key):
+            run(checkpoint=ckpt_path)
+        capsys.readouterr()
+        report = run(checkpoint=ckpt_path, verbose=True)
+        assert report.n_failed == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{key}: FAILED (timeout, resumed from checkpoint)" in lines
+
 
 class TestCliAcceptance:
     def test_forced_timeout_yields_complete_table_and_json(

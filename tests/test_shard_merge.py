@@ -311,6 +311,34 @@ class TestMergedRendersByteIdentical:
         assert merged.n_failed == 1
         assert merged.render() == unsharded.render()
 
+    @pytest.mark.parametrize("site,key,fsms,run", [
+        ("table2.row", "s386", ["dk16", "s386"], run_table2),
+        ("ablation.fsm", "ex3", ["lion9", "ex3"],
+         lambda fsms, **kw: run_ablation(fsms, ["full"], **kw)),
+        ("sweep.benchmark", "1/ex3", ["lion9", "ex3"],
+         lambda fsms, **kw: run_seed_sweep(fsms, seeds=(0, 1), **kw)),
+    ], ids=["table2", "ablation", "sweep"])
+    def test_failed_cells_survive_the_merge(
+        self, tmp_path, site, key, fsms, run
+    ):
+        """test_table1_failed_rows_survive_the_merge for the other
+        three experiments: each one's failure payload and fold."""
+        import re
+
+        shards = []
+        with faults.inject(site, SolverTimeout, key=key, times=2):
+            for k in (1, 2):
+                path = tmp_path / f"s{k}.json"
+                run(fsms, checkpoint=path, shard=f"{k}/2")
+                shards.append(path)
+            merged, _ = merge_files(shards)
+            unsharded = run(fsms)
+        assert merged.n_failed == 1
+        # Table II's time ratios differ between live runs; mask them
+        assert re.sub(r"\d+\.\d+", "#", merged.render()) == re.sub(
+            r"\d+\.\d+", "#", unsharded.render()
+        )
+
     def test_table2(self, tmp_path):
         fsms = ["dk16", "s386"]
         shards = []
