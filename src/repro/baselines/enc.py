@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..encoding.codes import Encoding
-from ..encoding.constraints import ConstraintSet
+from ..encoding.constraints import ConstraintSet, FaceConstraint
 from ..encoding.evaluate import cubes_for_constraint
 from ..obs import resolve_tracer
 from ..runtime import Budget, BudgetExceeded, faults
@@ -45,25 +45,77 @@ class EncResult:
     converged: bool
 
 
-def _total_cubes(
-    enc: Encoding,
-    cset: ConstraintSet,
-    counter: List[int],
-    max_minimizations: int,
-    budget: Optional[Budget],
-) -> int:
-    faults.trip("enc.minimize")
-    total = 0
-    for c in cset.nontrivial():
-        counter[0] += 1
-        if counter[0] > max_minimizations:
-            raise EncBudgetExceeded(
-                f"exceeded {max_minimizations} constraint minimizations"
-            )
-        if budget is not None:
-            budget.tick(where="enc_encode")
-        total += cubes_for_constraint(enc, c)
-    return total
+class _Scorer:
+    """Cube totals for one ``enc_encode`` call, with its budget counts.
+
+    A swap of ``a`` and ``b`` leaves every constraint holding neither
+    unchanged, and a rejected move restores the previous codes, so most
+    trials repeat constraint functions the call has already minimized.
+    ``memo`` maps each function's exact minimizer input -- the on-set
+    codes in the order :func:`~repro.encoding.evaluate.constraint_function`
+    passes them (sorted symbol names) and the set of unused codes -- to
+    its cube count.  The key packs a leading 1, ``nv`` bits per on-set
+    code and the ``2**nv``-bit unused-code mask into one int.  Nothing
+    is reordered into a canonical form, so a hit returns exactly what
+    the minimizer would: its tie-breaks depend on the on-set order.
+    """
+
+    def __init__(
+        self,
+        cset: ConstraintSet,
+        nv: int,
+        max_minimizations: int,
+        budget: Optional[Budget],
+    ) -> None:
+        self.constraints: List[Tuple[FaceConstraint, Tuple[str, ...]]] = [
+            (c, tuple(sorted(c.symbols))) for c in cset.nontrivial()
+        ]
+        self.nv = nv
+        self.max_minimizations = max_minimizations
+        self.budget = budget
+        self.memo: Dict[int, int] = {}
+        self.minimizations = 0
+        self.hits = 0
+
+    def total(self, enc: Encoding, *, counted: bool = True) -> int:
+        """Summed cube count of ``enc`` over the nontrivial constraints.
+
+        A ``counted`` total (one ENC trial) trips the ``enc.minimize``
+        fault site once and counts every constraint evaluation, memo hit
+        or not, against ``max_minimizations`` and the budget; the final
+        re-score of the result does neither.
+        """
+        if counted:
+            faults.trip("enc.minimize")
+        nv = self.nv
+        width = 1 << nv
+        codes = enc.codes
+        used = 0
+        for code in codes.values():
+            used |= 1 << code
+        unused = ((1 << width) - 1) & ~used
+        total = 0
+        for c, members in self.constraints:
+            if counted:
+                self.minimizations += 1
+                if self.minimizations > self.max_minimizations:
+                    raise EncBudgetExceeded(
+                        f"exceeded {self.max_minimizations} constraint "
+                        f"minimizations"
+                    )
+                if self.budget is not None:
+                    self.budget.tick(where="enc_encode")
+            key = 1
+            for s in members:
+                key = (key << nv) | codes[s]
+            key = (key << width) | unused
+            cubes = self.memo.get(key)
+            if cubes is None:
+                cubes = self.memo[key] = cubes_for_constraint(enc, c)
+            elif counted:
+                self.hits += 1
+            total += cubes
+        return total
 
 
 def enc_encode(
@@ -92,7 +144,7 @@ def enc_encode(
     if nv is None:
         nv = cset.min_code_length()
     rng = random.Random(seed)
-    counter = [0]
+    scorer = _Scorer(cset, nv, max_minimizations, budget)
     enc = natural_encoding(symbols, nv)
     codes: Dict[str, int] = dict(enc.codes)
     passes = 0
@@ -101,9 +153,7 @@ def enc_encode(
         with tracer.span(
             "enc/encode", symbols=len(symbols), nv=nv
         ):
-            best_total = _total_cubes(
-                enc, cset, counter, max_minimizations, budget
-            )
+            best_total = scorer.total(enc)
             for _ in range(max_passes):
                 passes += 1
                 improved = False
@@ -130,9 +180,7 @@ def enc_encode(
                             continue
                         codes[a] = free
                     trial = Encoding(symbols, codes, nv)
-                    total = _total_cubes(
-                        trial, cset, counter, max_minimizations, budget
-                    )
+                    total = scorer.total(trial)
                     if total < best_total:
                         best_total = total
                         improved = True
@@ -148,16 +196,14 @@ def enc_encode(
             raise
         converged = False
     finally:
-        tracer.count("enc.minimizations", counter[0])
+        tracer.count("enc.minimizations", scorer.minimizations)
         tracer.count("enc.passes", passes)
+        tracer.count("enc.memo_hits", scorer.hits)
 
     final = Encoding(symbols, codes, nv)
-    total = sum(
-        cubes_for_constraint(final, c) for c in cset.nontrivial()
-    )
     return EncResult(
         encoding=final,
-        total_cubes=total,
-        minimizations=counter[0],
+        total_cubes=scorer.total(final, counted=False),
+        minimizations=scorer.minimizations,
         converged=converged,
     )

@@ -154,7 +154,9 @@ class StreamWriter:
         {"type": "end", "cells": <count>}
 
     The ``header`` carries the same meta a shard checkpoint does, so
-    stream files are self-describing and mergeable on their own.
+    stream files are self-describing and mergeable on their own.  Cell
+    payloads are written with sorted keys, so a cell resumed from a
+    checkpoint streams the same bytes as when it was computed.
     """
 
     def __init__(
@@ -180,7 +182,11 @@ class StreamWriter:
                 "type": "cell",
                 "key": key,
                 "resumed": resumed,
-                "payload": payload,
+                # one byte form whether fresh or resumed: the payload
+                # as a checkpoint stores and returns it (keys sorted)
+                "payload": json.loads(
+                    json.dumps(payload, sort_keys=True, default=str)
+                ),
             }
         )
         self._cells += 1

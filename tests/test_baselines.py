@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.baselines.enc as enc_module
 from repro.baselines import (
     EncBudgetExceeded,
     best_random_encoding,
@@ -12,8 +13,14 @@ from repro.baselines import (
     random_encoding,
     state_affinity,
 )
-from repro.encoding import ConstraintSet, FaceConstraint
-from repro.fsm import parse_kiss
+from repro.encoding import (
+    ConstraintSet,
+    FaceConstraint,
+    derive_face_constraints,
+)
+from repro.fsm import load_benchmark, parse_kiss
+from repro.obs import Tracer
+from repro.runtime import SolverTimeout, faults
 
 
 def cset_of(n, groups):
@@ -116,6 +123,114 @@ class TestEnc:
         cs = cset_of(4, [[0, 1]])
         result = enc_encode(cs)
         assert result.minimizations > 0
+
+
+#: enc_encode(seed=1) results recorded before the per-call memo: the
+#: memo must leave codes, cube totals and minimization counts as they were
+ENC_GOLDEN = {
+    # exact minimizer (nv <= 4)
+    "lion9": (
+        {"st0": 0, "st7": 4, "st1": 12, "st2": 1, "st3": 3, "st4": 13,
+         "st5": 10, "st8": 6, "st6": 8},
+        5, 1395, True,
+    ),
+    "ex3": (
+        {"st0": 14, "st1": 2, "st7": 1, "st2": 3, "st5": 4, "st3": 5,
+         "st4": 0, "st8": 6, "st6": 8, "st9": 9},
+        11, 1212, True,
+    ),
+    "s27": (
+        {"st0": 0, "st1": 1, "st4": 3, "st3": 6, "st2": 4, "st5": 5},
+        11, 432, True,
+    ),
+    # espresso (nv = 5)
+    "tma": (
+        {"st0": 0, "st1": 1, "st2": 23, "st3": 3, "st4": 4, "st12": 5,
+         "st6": 16, "st5": 7, "st7": 8, "st10": 28, "st8": 10, "st9": 11,
+         "st11": 12, "st14": 13, "st13": 14, "st15": 15, "st16": 6,
+         "st17": 26, "st18": 18, "st19": 9},
+        7, 3228, True,
+    ),
+    # budget exhausted at Table I's default enc_budget
+    "dk16": (
+        {"st0": 0, "st1": 23, "st2": 2, "st3": 30, "st4": 31, "st6": 21,
+         "st11": 3, "st7": 18, "st15": 15, "st10": 9, "st5": 10,
+         "st24": 22, "st12": 12, "st23": 13, "st20": 16, "st8": 8,
+         "st9": 26, "st16": 17, "st25": 7, "st13": 19, "st21": 29,
+         "st18": 5, "st14": 14, "st22": 1, "st17": 6, "st19": 25,
+         "st26": 27},
+        28, 6001, False,
+    ),
+}
+
+
+class TestEncGolden:
+    @pytest.mark.parametrize("name", sorted(ENC_GOLDEN))
+    def test_matches_recorded_result(self, name):
+        codes, total, minimizations, converged = ENC_GOLDEN[name]
+        cset = derive_face_constraints(load_benchmark(name))
+        result = enc_encode(cset, seed=1, max_minimizations=6000)
+        assert result.encoding.codes == codes
+        assert list(result.encoding.codes) == list(codes)
+        assert result.total_cubes == total
+        assert result.minimizations == minimizations
+        assert result.converged is converged
+
+
+class TestEncMemo:
+    """Memo hits are still constraint evaluations: they count, tick
+    the budget and leave the per-trial fault site in place."""
+
+    CSET = cset_of(10, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+
+    def test_hits_count_toward_max_minimizations(self):
+        full = enc_encode(self.CSET, max_minimizations=20000)
+        assert full.converged
+        cut = enc_encode(self.CSET, max_minimizations=5)
+        assert cut.minimizations == 6  # stopped at the same evaluation
+        assert not cut.converged
+        # a budget that ends mid-run stops at exactly its limit + 1
+        half = full.minimizations // 2
+        assert enc_encode(
+            self.CSET, max_minimizations=half
+        ).minimizations == half + 1
+
+    def test_fault_site_trips_once_per_trial(self):
+        with faults.inject(
+            "enc.minimize", SolverTimeout, after=10**9, times=None
+        ) as fault:
+            result = enc_encode(self.CSET)
+        assert result.converged
+        trials = fault.hits
+        assert trials * len(self.CSET.nontrivial()) == result.minimizations
+        # an armed fault still fires on the trial it names
+        with faults.inject("enc.minimize", SolverTimeout, after=trials):
+            with pytest.raises(SolverTimeout):
+                enc_encode(self.CSET)
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        calls = []
+        real = enc_module.cubes_for_constraint
+
+        def counting(enc, c, **kw):
+            calls.append(1)
+            return real(enc, c, **kw)
+
+        monkeypatch.setattr(enc_module, "cubes_for_constraint", counting)
+        first = enc_encode(self.CSET)
+        n_first = len(calls)
+        second = enc_encode(self.CSET)
+        assert len(calls) == 2 * n_first
+        assert second == first
+        # the memo saves work: fewer minimizer calls than evaluations
+        assert 0 < n_first < first.minimizations
+
+    def test_memo_hits_counter(self):
+        tracer = Tracer()
+        result = enc_encode(self.CSET, tracer=tracer)
+        hits = tracer.counter("enc.memo_hits")
+        assert 0 < hits < result.minimizations
+        assert tracer.counter("enc.minimizations") == result.minimizations
 
 
 class TestStateAffinity:

@@ -10,6 +10,7 @@ to an unsharded run, for all four experiments and for stream files.
 """
 
 import json
+import time
 
 import pytest
 
@@ -421,6 +422,40 @@ class TestStreaming:
         # an unsharded stream merges on its own, as shard 1/1
         merged, _ = merge_files([stream], from_stream=True)
         assert merged.render() == report.render()
+
+    def test_resumed_cells_stream_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """Interrupt a run, resume it: every cell line, the resumed
+        one included, is byte-identical to an uninterrupted run's.
+        The clock is frozen so the payloads' seconds agree."""
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        fsms = ["lion9", "ex3"]
+        whole = tmp_path / "whole.jsonl"
+        run_table1(fsms, include_enc=False, stream=whole)
+        ckpt = tmp_path / "run.ckpt"
+        with faults.inject("table1.row", KeyboardInterrupt, key="ex3"):
+            with pytest.raises(KeyboardInterrupt):
+                run_table1(
+                    fsms, include_enc=False, checkpoint=ckpt,
+                    stream=tmp_path / "killed.jsonl",
+                )
+        resumed = tmp_path / "resumed.jsonl"
+        run_table1(fsms, include_enc=False, checkpoint=ckpt, stream=resumed)
+
+        def cells(path):
+            lines = [
+                line for line in path.read_text().splitlines()
+                if json.loads(line)["type"] == "cell"
+            ]
+            return [
+                # the envelope's flag is the one intended difference
+                line.replace('"resumed": true', '"resumed": false', 1)
+                for line in lines
+            ]
+
+        assert '"key": "lion9", "resumed": true' in resumed.read_text()
+        assert cells(resumed) == cells(whole)
 
     def test_stream_tolerates_torn_final_line(self, tmp_path):
         stream = tmp_path / "run.jsonl"
