@@ -145,15 +145,17 @@ def enc_encode(
         nv = cset.min_code_length()
     rng = random.Random(seed)
     scorer = _Scorer(cset, nv, max_minimizations, budget)
-    enc = natural_encoding(symbols, nv)
-    codes: Dict[str, int] = dict(enc.codes)
+    # ``best`` is always a fully scored encoding; ``codes`` holds the
+    # trial under evaluation, half-applied if the budget runs out
+    best = natural_encoding(symbols, nv)
+    codes: Dict[str, int] = dict(best.codes)
     passes = 0
 
     try:
         with tracer.span(
             "enc/encode", symbols=len(symbols), nv=nv
         ):
-            best_total = scorer.total(enc)
+            best_total = scorer.total(best)
             for _ in range(max_passes):
                 passes += 1
                 improved = False
@@ -182,7 +184,7 @@ def enc_encode(
                     trial = Encoding(symbols, codes, nv)
                     total = scorer.total(trial)
                     if total < best_total:
-                        best_total = total
+                        best, best_total = trial, total
                         improved = True
                     else:
                         codes[a] = old_a
@@ -200,10 +202,9 @@ def enc_encode(
         tracer.count("enc.passes", passes)
         tracer.count("enc.memo_hits", scorer.hits)
 
-    final = Encoding(symbols, codes, nv)
     return EncResult(
-        encoding=final,
-        total_cubes=scorer.total(final, counted=False),
+        encoding=best,
+        total_cubes=scorer.total(best, counted=False),
         minimizations=scorer.minimizations,
         converged=converged,
     )

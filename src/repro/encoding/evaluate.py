@@ -14,12 +14,21 @@ implements the complete constraint set: a satisfied constraint costs
 exactly one cube, an infeasible one costs however many its intruders
 force (Theorem I gives the constructive bound).
 
+:func:`cubes_for_constraint` uses both facts the constraint already
+states.  A satisfied constraint (a non-empty on-set whose face holds no
+intruder) scores 1 with no minimizer call: the face is a one-cube cover,
+and espresso's first prime grows to the face before any out-of-face
+raise.  Otherwise espresso gets the off-set directly, as the minterms of
+the used codes outside the on-set, instead of complementing on-set plus
+don't-cares.  Both give the count the minimizer alone would.
+
 Every encoder in this repository is scored by this same evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cubes import Space, contains
@@ -37,24 +46,29 @@ __all__ = [
 ]
 
 
-def _code_minterm(space: Space, code: int, n_bits: int) -> int:
-    values = [(code >> (n_bits - 1 - b)) & 1 for b in range(n_bits)]
-    return space.minterm(values)
+@lru_cache(maxsize=None)
+def _binary_codes(nv: int) -> Tuple[Space, Tuple[int, ...]]:
+    """``Space.binary(nv)`` and the minterm of every ``nv``-bit code.
+
+    Code bit ``nv - 1 - b`` (column ``b``, MSB first) is variable ``b``.
+    """
+    space = Space.binary(nv)
+    minterms = tuple(
+        space.minterm([(code >> (nv - 1 - b)) & 1 for b in range(nv)])
+        for code in range(1 << nv)
+    )
+    return space, minterms
 
 
 def constraint_function(
     encoding: Encoding, constraint: FaceConstraint
 ) -> Tuple[Space, List[int], List[int]]:
     """(space, onset, dcset) of the constraint's Boolean function."""
-    nv = encoding.n_bits
-    space = Space.binary(nv)
+    space, minterm = _binary_codes(encoding.n_bits)
     onset = [
-        _code_minterm(space, encoding.code_of(s), nv)
-        for s in sorted(constraint.symbols)
+        minterm[encoding.code_of(s)] for s in sorted(constraint.symbols)
     ]
-    dcset = [
-        _code_minterm(space, code, nv) for code in encoding.unused_codes()
-    ]
+    dcset = [minterm[code] for code in encoding.unused_codes()]
     return space, onset, dcset
 
 
@@ -66,9 +80,13 @@ def cubes_for_constraint(
 ) -> int:
     """Minimized product-term count for one constraint.
 
-    Uses the exact minimizer on small code spaces (the default for
-    ``nv <= 4``) and the espresso heuristic otherwise.
+    A satisfied constraint costs 1 with no minimizer call (a
+    :class:`FaceConstraint` is never empty).  Otherwise this uses the
+    exact minimizer on small code spaces (the default for ``nv <= 4``)
+    and the espresso heuristic, given the off-set, otherwise.
     """
+    if encoding.satisfies(constraint.symbols):
+        return 1
     space, onset, dcset = constraint_function(encoding, constraint)
     if exact is None:
         exact = encoding.n_bits <= 4
@@ -77,7 +95,15 @@ def cubes_for_constraint(
             return len(exact_minimize(space, onset, dcset))
         except ExactLimitError:
             pass
-    return len(espresso(space, onset, dcset, use_lastgasp=False))
+    _, minterm = _binary_codes(encoding.n_bits)
+    members = {encoding.code_of(s) for s in constraint.symbols}
+    offset = [
+        minterm[code]
+        for code in sorted(set(encoding.codes.values()) - members)
+    ]
+    return len(
+        espresso(space, onset, dcset, offset=offset, use_lastgasp=False)
+    )
 
 
 @dataclass

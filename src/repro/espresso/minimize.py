@@ -58,6 +58,7 @@ def espresso(
     onset: Sequence[int],
     dcset: Sequence[int] = (),
     *,
+    offset: Optional[Sequence[int]] = None,
     use_essentials: bool = True,
     use_lastgasp: bool = True,
     max_iterations: int = 20,
@@ -74,6 +75,11 @@ def espresso(
     (default: the module-level tracer) records an
     ``espresso/minimize`` span, per-iteration counters and
     cubes-after-pass gauges at the same seam.
+
+    ``offset``, when given, is the off-set (ESPRESSO's R beside F and
+    D) and must cover the same points as the complement of ``onset``
+    plus ``dcset``.  The result is then identical to the default,
+    which computes that complement.
     """
     if stats is None:
         stats = EspressoStats()
@@ -87,7 +93,10 @@ def espresso(
     with tracer.span(
         "espresso/minimize", terms=len(cover), width=space.width
     ):
-        off = complement(space, cover + dc)
+        if offset is None:
+            off = complement(space, cover + dc)
+        else:
+            off = list(offset)
 
         cover = expand(space, cover, off, tracer=tracer)
         cover = irredundant(space, cover, dc, tracer=tracer)

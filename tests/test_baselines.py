@@ -154,12 +154,12 @@ ENC_GOLDEN = {
     # budget exhausted at Table I's default enc_budget
     "dk16": (
         {"st0": 0, "st1": 23, "st2": 2, "st3": 30, "st4": 31, "st6": 21,
-         "st11": 3, "st7": 18, "st15": 15, "st10": 9, "st5": 10,
-         "st24": 22, "st12": 12, "st23": 13, "st20": 16, "st8": 8,
+         "st11": 3, "st7": 18, "st15": 8, "st10": 9, "st5": 10,
+         "st24": 22, "st12": 12, "st23": 13, "st20": 16, "st8": 15,
          "st9": 26, "st16": 17, "st25": 7, "st13": 19, "st21": 29,
          "st18": 5, "st14": 14, "st22": 1, "st17": 6, "st19": 25,
          "st26": 27},
-        28, 6001, False,
+        23, 6001, False,
     ),
 }
 
@@ -175,6 +175,31 @@ class TestEncGolden:
         assert result.total_cubes == total
         assert result.minimizations == minimizations
         assert result.converged is converged
+
+
+class TestEncBudgetBlowout:
+    """A budget that runs out mid-trial returns the best *scored*
+    encoding, never the half-applied trial that was being scored."""
+
+    @pytest.mark.parametrize(
+        "name,cap", [("lion9", 50), ("tma", 1000), ("bbara", 500)]
+    )
+    def test_returns_lowest_counted_trial(self, name, cap, monkeypatch):
+        totals = []
+        real = enc_module._Scorer.total
+
+        def recording(self, enc, *, counted=True):
+            total = real(self, enc, counted=counted)
+            if counted:
+                totals.append(total)
+            return total
+
+        monkeypatch.setattr(enc_module._Scorer, "total", recording)
+        cset = derive_face_constraints(load_benchmark(name))
+        result = enc_encode(cset, seed=1, max_minimizations=cap)
+        assert not result.converged
+        assert result.minimizations == cap + 1
+        assert result.total_cubes == min(totals)
 
 
 class TestEncMemo:

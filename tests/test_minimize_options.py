@@ -1,8 +1,12 @@
 """Tests for espresso's loop options and statistics."""
 
-import pytest
+import importlib
 
-from repro.cubes import Space, contains
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cubes import Space, complement, contains
 from repro.espresso import EspressoStats, espresso, espresso_pla, Pla
 
 
@@ -65,6 +69,66 @@ class TestLoopOptions:
         stats = EspressoStats()
         out = espresso_pla(pla, stats=stats)
         assert stats.final_terms == out.num_terms() == 1
+
+
+@st.composite
+def functions(draw):
+    """A binary or multi-valued space with an on-set and a dc-set of
+    random (non-void) cubes."""
+    if draw(st.booleans()):
+        space = Space.binary(draw(st.integers(min_value=1, max_value=5)))
+    else:
+        space = Space(draw(st.lists(
+            st.integers(min_value=2, max_value=4), min_size=1, max_size=4
+        )))
+
+    def cube():
+        result = 0
+        for part, size in enumerate(space.part_sizes):
+            field = draw(st.integers(min_value=1, max_value=(1 << size) - 1))
+            result |= field << space.offsets[part]
+        return result
+
+    onset = [cube() for _ in range(draw(st.integers(0, 6)))]
+    dcset = [cube() for _ in range(draw(st.integers(0, 3)))]
+    return space, onset, dcset
+
+
+class TestKnownOffset:
+    """``offset=`` only skips the complement: any cover of the same
+    points gives the byte-identical result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(functions(), st.booleans(), st.booleans())
+    def test_offset_matches_computed_complement(
+        self, function, essentials, lastgasp
+    ):
+        space, onset, dcset = function
+        options = dict(use_essentials=essentials, use_lastgasp=lastgasp)
+        reference = espresso(space, onset, dcset, **options)
+        off = complement(space, list(onset) + list(dcset))
+        off_minterms = [
+            m for m in space.iter_minterms()
+            if not any(contains(c, m) for c in list(onset) + list(dcset))
+        ]
+        for offset in (off, off_minterms):
+            got = espresso(space, onset, dcset, offset=offset, **options)
+            assert got == reference
+
+    def test_offset_skips_the_complement(self, monkeypatch):
+        # ``repro.espresso`` as an attribute is the function, so fetch
+        # the module itself
+        minimize_module = importlib.import_module("repro.espresso.minimize")
+        space = Space.binary(3)
+        onset = [space.parse_cube(r) for r in ["000", "011"]]
+        off = complement(space, onset)
+        reference = espresso(space, onset)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("complement called despite offset=")
+
+        monkeypatch.setattr(minimize_module, "complement", refuse)
+        assert espresso(space, onset, offset=off) == reference
 
 
 class TestHarnessEncSkip:

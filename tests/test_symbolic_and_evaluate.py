@@ -1,7 +1,10 @@
 """Tests for symbolic constraint derivation and encoding evaluation."""
 
+import random
+
 import pytest
 
+import repro.encoding.evaluate as evaluate_module
 from repro.cubes import Space
 from repro.encoding import (
     ConstraintSet,
@@ -16,6 +19,7 @@ from repro.encoding import (
     satisfied_dichotomies,
 )
 from repro.encoding.symbolic import _fast_symbolic_merge
+from repro.espresso import ExactLimitError, espresso, exact_minimize
 from repro.fsm import fsm_to_symbolic_cover, load_benchmark, parse_kiss
 
 # two states behave identically on input 0- (both go to 'hub' with
@@ -123,6 +127,79 @@ class TestConstraintFunction:
             heur = cubes_for_constraint(enc, c, exact=False)
             assert heur >= exact
             assert heur - exact <= 1
+
+
+def reference_cubes(encoding, constraint, exact=None):
+    """The evaluator with neither the known off-set nor the one-cube
+    shortcut: every constraint goes through a minimizer."""
+    space, onset, dcset = constraint_function(encoding, constraint)
+    if exact is None:
+        exact = encoding.n_bits <= 4
+    if exact:
+        try:
+            return len(exact_minimize(space, onset, dcset))
+        except ExactLimitError:
+            pass
+    return len(espresso(space, onset, dcset, use_lastgasp=False))
+
+
+class TestCubesForConstraintDifferential:
+    """``cubes_for_constraint`` against :func:`reference_cubes` on
+    random injective encodings."""
+
+    @pytest.mark.parametrize("nv", [2, 3, 4, 5, 6])
+    def test_matches_reference(self, nv):
+        rng = random.Random(nv)
+        kinds = {"satisfied": 0, "singleton": 0, "intruded": 0}
+        for _ in range(20 if nv < 6 else 8):
+            n = rng.randint(2, 1 << nv)
+            symbols = [f"s{i}" for i in range(n)]
+            codes = rng.sample(range(1 << nv), n)
+            enc = Encoding(symbols, dict(zip(symbols, codes)), nv)
+            # a face's symbols, a singleton and a random subset
+            mask = rng.getrandbits(nv)
+            value = rng.getrandbits(nv) & mask
+            groups = [
+                enc.symbols_on_face(mask, value),
+                [rng.choice(symbols)],
+                rng.sample(symbols, rng.randint(2, n)),
+            ]
+            for members in groups:
+                if not members:
+                    continue
+                c = FaceConstraint(members)
+                if len(members) == 1:
+                    kinds["singleton"] += 1
+                elif enc.satisfies(c.symbols):
+                    kinds["satisfied"] += 1
+                else:
+                    kinds["intruded"] += 1
+                for exact in (None, True, False):
+                    if exact and nv == 6 and len(members) > 8:
+                        continue  # exact on 64 codes is slow, not wrong
+                    assert cubes_for_constraint(
+                        enc, c, exact=exact
+                    ) == reference_cubes(enc, c, exact), (codes, members)
+        assert all(kinds.values()), kinds
+
+    def test_satisfied_constraint_calls_no_minimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimizer called")
+
+        monkeypatch.setattr(evaluate_module, "espresso", refuse)
+        monkeypatch.setattr(evaluate_module, "exact_minimize", refuse)
+        enc = Encoding(["a", "b", "c", "d"], {"a": 0, "b": 1, "c": 2, "d": 6})
+        for exact in (None, True, False):
+            assert cubes_for_constraint(
+                enc, FaceConstraint({"a", "b"}), exact=exact
+            ) == 1
+            assert cubes_for_constraint(
+                enc, FaceConstraint({"d"}), exact=exact
+            ) == 1
+            with pytest.raises(AssertionError, match="minimizer called"):
+                cubes_for_constraint(
+                    enc, FaceConstraint({"a", "d"}), exact=exact
+                )
 
 
 class TestEvaluateEncoding:
