@@ -12,14 +12,22 @@ This pass is an implementation liberty on top of the paper's
 pseudocode (the paper's cost function is unpublished; see DESIGN.md);
 ``PicolaOptions(final_repair=False)`` disables it, and the ablation
 bench measures its contribution.
+
+A set of codes is an int with ``2**nv`` bits, one bit per code.  Faces,
+intruders and the occupied codes are such sets, so a trial swap or move
+is scored with a few bitwise operations per constraint it can change,
+however many symbols there are.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Set, Tuple
 
-from ..encoding.codes import Encoding, face_of
+from ..encoding.codes import Encoding
 from ..encoding.constraints import ConstraintSet, FaceConstraint
+from ..obs import resolve_tracer
+from ..runtime import InvalidSpecError
 from .weights import WeightPolicy
 
 __all__ = ["polish_encoding", "satisfaction_cost_score"]
@@ -29,13 +37,49 @@ _PARTIAL = 0.3
 #: weight of the Theorem I cost estimate relative to satisfaction
 _COST = 0.12
 
+#: a face as ``(dimension, set of its codes)``
+Face = Tuple[int, int]
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(nv: int) -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    """``((ONE[b], ZERO[b]) for each bit b)`` and the set of all codes.
+
+    ``ONE[b]`` and ``ZERO[b]`` are the sets of the ``2**nv`` codes whose
+    bit ``b`` is 1 or 0.
+    """
+    size = 1 << nv
+    everything = (1 << size) - 1
+    tables = []
+    for b in range(nv):
+        one = int(
+            "".join(str(c >> b & 1) for c in reversed(range(size))), 2
+        )
+        tables.append((one, everything ^ one))
+    return tuple(tables), everything
+
+
+def _face(code_set: int, nv: int) -> Face:
+    """The smallest face holding a non-empty code set, in O(``nv``)."""
+    tables, points = _bit_tables(nv)
+    dim = 0
+    for one, zero in tables:
+        if not code_set & zero:
+            points &= one
+        elif not code_set & one:
+            points &= zero
+        else:
+            dim += 1
+    return dim, points
+
 
 def _constraint_score(
-    members_idx: Sequence[int],
-    codes: Sequence[int],
-    nv: int,
+    members: int,
+    face: Face,
+    occupied: int,
+    n: int,
     weight: float,
-    member_mask: Sequence[bool],
+    nv: int,
 ) -> float:
     """Satisfaction first, estimated implementation cost as tie-break.
 
@@ -47,45 +91,61 @@ def _constraint_score(
     per-intruder count otherwise.  Maximizing this both chases
     satisfied faces (NOVA's objective) and keeps violated constraints
     cheap to implement (PICOLA's).
+
+    ``members`` is the constraint's code set and ``face`` its face,
+    ``occupied`` the codes of all ``n`` symbols.
     """
-    mask, value = face_of((codes[i] for i in members_idx), nv)
-    intruder_codes = [
-        code
-        for i, code in enumerate(codes)
-        if not member_mask[i] and not (code ^ value) & mask
-    ]
-    outsiders = len(codes) - len(members_idx)
-    if not intruder_codes:
+    dim_l, points = face
+    intruders = points & occupied & ~members
+    if not intruders:
         return weight * (1.0 - _COST)
-    dim_l = nv - bin(mask).count("1")
-    mask_i, value_i = face_of(intruder_codes, nv)
-    hits_member = any(
-        not (codes[i] ^ value_i) & mask_i for i in members_idx
-    )
-    if hits_member:
-        estimate = min(1 + len(intruder_codes), len(members_idx))
+    n_intruders = bin(intruders).count("1")
+    size = bin(members).count("1")
+    outsiders = n - size
+    dim_i, points_i = _face(intruders, nv)
+    if points_i & members:
+        estimate = min(1 + n_intruders, size)
     else:
-        dim_i = nv - bin(mask_i).count("1")
         estimate = max(dim_l - dim_i, 1)
-    partial = _PARTIAL * (1.0 - len(intruder_codes) / max(outsiders, 1))
+    partial = _PARTIAL * (1.0 - n_intruders / max(outsiders, 1))
     return weight * (partial - _COST * estimate)
+
+
+def _code_sets(
+    encoding: Encoding, constraints: Sequence[FaceConstraint]
+) -> Tuple[List[int], int, List[int]]:
+    """Each symbol's code, the occupied code set and each constraint's
+    member code set."""
+    codes = [encoding.code_of(s) for s in encoding.symbols]
+    if not encoding.is_injective():
+        raise InvalidSpecError(
+            "the repair objective needs an injective encoding"
+        )
+    occupied = 0
+    for code in codes:
+        occupied |= 1 << code
+    members = []
+    for c in constraints:
+        code_set = 0
+        for s in c.symbols:
+            code_set |= 1 << encoding.code_of(s)
+        members.append(code_set)
+    return codes, occupied, members
 
 
 def satisfaction_cost_score(
     encoding: Encoding, cset: ConstraintSet
 ) -> float:
-    """Total :func:`_constraint_score` of an encoding (higher = better)."""
-    symbols = list(encoding.symbols)
-    index = {s: i for i, s in enumerate(symbols)}
-    codes = [encoding.code_of(s) for s in symbols]
+    """Total :func:`_constraint_score` of an injective encoding
+    (higher = better)."""
+    constraints = cset.nontrivial()
+    _, occupied, members = _code_sets(encoding, constraints)
+    nv = encoding.n_bits
+    n = len(encoding.symbols)
     total = 0.0
-    for c in cset.nontrivial():
-        members_idx = [index[s] for s in c.symbols]
-        mask = [False] * len(symbols)
-        for s in c.symbols:
-            mask[index[s]] = True
+    for code_set, c in zip(members, constraints):
         total += _constraint_score(
-            members_idx, codes, encoding.n_bits, c.weight, mask
+            code_set, _face(code_set, nv), occupied, n, c.weight, nv
         )
     return total
 
@@ -95,68 +155,64 @@ def polish_encoding(
     cset: ConstraintSet,
     policy: Optional[WeightPolicy] = None,
     max_sweeps: int = 4,
+    tracer=None,
 ) -> Encoding:
     """Hill-climb over code swaps/moves; returns a (possibly) new
-    encoding with at least the same weighted satisfaction score."""
-    if policy is None:
-        policy = WeightPolicy()
-    symbols = list(encoding.symbols)
-    index = {s: i for i, s in enumerate(symbols)}
-    nv = encoding.n_bits
-    codes: List[int] = [encoding.code_of(s) for s in symbols]
+    encoding with at least the same weighted satisfaction score.
+
+    ``encoding`` must be injective.  Each constraint counts with its
+    :attr:`FaceConstraint.weight`; ``policy`` is ignored and kept only
+    for API compatibility.  ``tracer`` (default: the module-level
+    tracer) counts the trials and accepted trials of the call as
+    ``picola.repair_trials`` and ``picola.repair_accepted``.
+    """
     constraints = cset.nontrivial()
     if not constraints:
         return encoding
-
-    members_idx = [
-        [index[s] for s in c.symbols] for c in constraints
-    ]
-    member_mask = []
-    for c in constraints:
-        mask = [False] * len(symbols)
-        for s in c.symbols:
-            mask[index[s]] = True
-        member_mask.append(mask)
-    weights = [c.weight for c in constraints]
-    touching: List[List[int]] = [[] for _ in symbols]
-    for k, idxs in enumerate(members_idx):
-        for i in idxs:
-            touching[i].append(k)
-
-    def score_all() -> List[float]:
-        return [
-            _constraint_score(
-                members_idx[k], codes, nv, weights[k], member_mask[k]
-            )
-            for k in range(len(constraints))
-        ]
-
-    scores = score_all()
-    unused = [c for c in range(1 << nv) if c not in set(codes)]
-
-    def affected(i: int, j: Optional[int], old_codes: Tuple[int, ...]
-                 ) -> List[int]:
-        """Constraints whose score can change under the move."""
-        ks = set(touching[i])
-        if j is not None:
-            ks.update(touching[j])
-        # constraints whose face currently contains a moved code can
-        # gain/lose an intruder even when neither symbol is a member
-        moved = set(old_codes)
-        moved.add(codes[i])
-        if j is not None:
-            moved.add(codes[j])
-        for k in range(len(constraints)):
-            if k in ks:
-                continue
-            mask, value = face_of(
-                (codes[m] for m in members_idx[k]), nv
-            )
-            if any(not (c ^ value) & mask for c in moved):
-                ks.add(k)
-        return sorted(ks)
-
+    symbols = list(encoding.symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    nv = encoding.n_bits
     n = len(symbols)
+    codes, occupied, members = _code_sets(encoding, constraints)
+    weights = [c.weight for c in constraints]
+    touching: List[Set[int]] = [set() for _ in symbols]
+    for k, c in enumerate(constraints):
+        for s in c.symbols:
+            touching[index[s]].add(k)
+    # per-constraint state; it changes only when a trial is accepted
+    faces = [_face(code_set, nv) for code_set in members]
+    scores = [
+        _constraint_score(members[k], faces[k], occupied, n, weights[k], nv)
+        for k in range(len(constraints))
+    ]
+    unused = [c for c in range(1 << nv) if not occupied >> c & 1]
+
+    def accept(
+        ks: Sequence[int], shifted: Set[int], flip: int, occ: int
+    ) -> bool:
+        """Rescore constraints ``ks`` (ascending) with the codes in
+        ``flip`` toggled in the member sets of those in ``shifted`` and
+        ``occ`` occupied; keep the new state if the total improves."""
+        delta = 0.0
+        updates = []
+        for k in ks:
+            if k in shifted:
+                code_set = members[k] ^ flip
+                face = _face(code_set, nv)
+            else:
+                code_set, face = members[k], faces[k]
+            score = _constraint_score(
+                code_set, face, occ, n, weights[k], nv
+            )
+            delta += score - scores[k]
+            updates.append((k, code_set, face, score))
+        if delta > 1e-9:
+            for k, code_set, face, score in updates:
+                members[k], faces[k], scores[k] = code_set, face, score
+            return True
+        return False
+
+    trials = accepted = 0
     for _ in range(max_sweeps):
         improved = False
         # pair swaps where at least one side touches a constraint
@@ -164,46 +220,37 @@ def polish_encoding(
             for j in range(i + 1, n):
                 if not touching[i] and not touching[j]:
                     continue
-                old = (codes[i], codes[j])
-                codes[i], codes[j] = codes[j], codes[i]
-                ks = affected(i, j, old)
-                delta = 0.0
-                new_scores = {}
-                for k in ks:
-                    new_scores[k] = _constraint_score(
-                        members_idx[k], codes, nv, weights[k],
-                        member_mask[k],
-                    )
-                    delta += new_scores[k] - scores[k]
-                if delta > 1e-9:
-                    for k, v in new_scores.items():
-                        scores[k] = v
+                trials += 1
+                # a constraint holding both symbols or neither keeps
+                # its member set, face and occupied codes, so its score
+                changed = touching[i] ^ touching[j]
+                flip = (1 << codes[i]) | (1 << codes[j])
+                if changed and accept(
+                    sorted(changed), changed, flip, occupied
+                ):
+                    codes[i], codes[j] = codes[j], codes[i]
+                    accepted += 1
                     improved = True
-                else:
-                    codes[i], codes[j] = old
         # moves to unused codes
         for i in range(n):
             if not touching[i]:
                 continue
             for slot in range(len(unused)):
-                old_code = codes[i]
-                codes[i] = unused[slot]
-                ks = affected(i, None, (old_code,))
-                delta = 0.0
-                new_scores = {}
-                for k in ks:
-                    new_scores[k] = _constraint_score(
-                        members_idx[k], codes, nv, weights[k],
-                        member_mask[k],
-                    )
-                    delta += new_scores[k] - scores[k]
-                if delta > 1e-9:
-                    unused[slot] = old_code
-                    for k, v in new_scores.items():
-                        scores[k] = v
+                trials += 1
+                flip = (1 << codes[i]) | (1 << unused[slot])
+                # a face holding either code gains or loses an intruder
+                ks = [
+                    k for k, (_, points) in enumerate(faces)
+                    if k in touching[i] or points & flip
+                ]
+                if accept(ks, touching[i], flip, occupied ^ flip):
+                    occupied ^= flip
+                    codes[i], unused[slot] = unused[slot], codes[i]
+                    accepted += 1
                     improved = True
-                else:
-                    codes[i] = old_code
         if not improved:
             break
+    tracer = resolve_tracer(tracer)
+    tracer.count("picola.repair_trials", trials)
+    tracer.count("picola.repair_accepted", accepted)
     return Encoding.from_code_list(symbols, codes, nv)
